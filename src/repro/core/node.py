@@ -60,7 +60,7 @@ from repro.core.messages import (
     TokenMsg,
 )
 from repro.overlay.positions import PositionIndex
-from repro.routing.messages import Hop, RoutedMessage, make_routed_message
+from repro.routing.messages import RoutedMessage, make_routed_message
 from repro.sim.engine import EngineServices, JoinNotice, NodeContext, NodeProtocol
 from repro.sim.hopplane import HopDelivery
 from repro.util.intervals import wrap
@@ -85,13 +85,12 @@ _PHASE_CODES = {
 
 
 # ----------------------------------------------------------------------
-# Shared per-round hop classification (columnar plane receive path)
+# Shared per-round hop classification (hop-plane receive path)
 #
-# With the columnar hop plane each *logical* hop is one row shared by every
+# On the columnar hop plane each *logical* hop is one row shared by every
 # receiver, so its classification — next step, final test, swarm lookup
 # point, join-record extraction — runs ONCE per round for the whole network
 # (memoised on ``HopDelivery.cache``) instead of once per copy per receiver.
-# Values are exactly what the legacy per-copy inbox loop computes.
 # ----------------------------------------------------------------------
 
 
@@ -381,15 +380,8 @@ class MaintenanceNode(NodeProtocol):
         grants: list[TokenGrant] = []
         notices: list[JoinNotice] = []
         # Exact-type dispatch: one dict probe per message instead of an
-        # isinstance chain (all message classes are final).  Hops — the bulk
-        # of every inbox — dedup right here by (message identity, step):
-        # each logical request is one shared RoutedMessage instance (msg_ids
-        # are constructed exactly once, with per-origin counters), so object
-        # identity equals the documented msg_id dedup without hashing the
-        # nested msg_id tuple per copy.  Even rounds classify surviving hops
-        # straight into forwarding actions; odd rounds keep the deduped hop
-        # list plus the handover lookup points — either way the inbox is
-        # walked exactly once.
+        # isinstance chain (all message classes are final).  Routed hops do
+        # not ride the inbox: they arrive as plane rows (``ctx.hops``).
         buckets: dict[type, list] = {
             CreateBatch: creates,
             JoinBatch: join_batches,
@@ -398,46 +390,7 @@ class MaintenanceNode(NodeProtocol):
             TokenGrant: grants,
             JoinNotice: notices,
         }
-        even = ctx.round % 2 == 0
-        seen_hops: set[tuple[int, int]] = set()
-        # Each action is (is_final, msg, next_k); finals become the full
-        # target-swarm delivery multicast, the rest mid-route forwards.
-        actions: list[tuple[bool, RoutedMessage, int]] = []
-        points: list[float] = []
-        join_recs: list[JoinRecord] = []
-        hops: list[Hop] = []
-        handover_points: list[float] = []
         for _, msg in ctx.inbox:
-            if msg.__class__ is Hop:
-                m = msg.msg
-                k = msg.step
-                # repro: allow(id-ordering): identity dedup only — the id value
-                # is a set-membership key, never ordered or emitted; duplicate
-                # detection is by object identity by design (same Hop object
-                # fanned out to several receivers).
-                key = (id(m), k)
-                if key in seen_hops:
-                    continue
-                seen_hops.add(key)
-                if even:
-                    if k >= m.final_step:
-                        continue  # defensive: deliveries happen at odd rounds
-                    next_k = k + 1
-                    payload = m.payload
-                    if next_k == m.final_step:
-                        if isinstance(payload, tuple) and payload[0] == "join":
-                            join_recs.append(payload[1])
-                        else:
-                            actions.append((True, m, next_k))
-                            points.append(m.target)
-                    else:
-                        actions.append((False, m, next_k))
-                        points.append(m.trajectory[next_k])
-                else:
-                    hops.append(msg)
-                    if k < m.final_step:
-                        handover_points.append(m.trajectory[k])
-                continue
             bucket = buckets.get(msg.__class__)
             if bucket is not None:
                 bucket.append(msg)
@@ -445,10 +398,10 @@ class MaintenanceNode(NodeProtocol):
         self._absorb_tokens(ctx, token_msgs, grants)
         self._fill_slots(ctx, connects)
 
-        if even:
-            self._even_round(ctx, creates, actions, points, join_recs)
+        if ctx.round % 2 == 0:
+            self._even_round(ctx, creates)
         else:
-            self._odd_round(ctx, join_batches, hops, handover_points)
+            self._odd_round(ctx, join_batches)
 
         # Bootstrap duties are parity-independent: the notice arrives in the
         # join round and must be answered as soon as tokens allow (the
@@ -555,23 +508,14 @@ class MaintenanceNode(NodeProtocol):
     # Even rounds
     # ------------------------------------------------------------------
 
-    def _even_round(
-        self,
-        ctx: NodeContext,
-        creates: list[CreateBatch],
-        actions: list[tuple[bool, RoutedMessage, int]],
-        points: list[float],
-        join_recs: list[JoinRecord],
-    ) -> None:
+    def _even_round(self, ctx: NodeContext, creates: list[CreateBatch]) -> None:
         e = ctx.round // 2
         self._cutover(ctx, e, creates)
         if self.phase is Phase.ESTABLISHED:
-            if ctx.hops is not None:
-                plane_recs = self._even_hops_plane(ctx, ctx.hop_delivery, ctx.hops)
-                if plane_recs:
-                    self._rebroadcast_joins(ctx, self._d_members(), plane_recs)
-            if actions or join_recs:
-                self._forward_hops(ctx, actions, points, join_recs)
+            if ctx.hops.size:
+                join_recs = self._even_hops(ctx, ctx.hop_delivery, ctx.hops)
+                if join_recs:
+                    self._rebroadcast_joins(ctx, self._d_members(), join_recs)
             self._launch_joins(ctx, e)
             self._emit_tokens(ctx)
             self._launch_queued_probes(ctx)
@@ -632,64 +576,6 @@ class MaintenanceNode(NodeProtocol):
             self.d_nbrs = {}
             self._d_index = None
             self.demotions += 1
-
-    def _forward_hops(
-        self,
-        ctx: NodeContext,
-        actions: list[tuple[bool, RoutedMessage, int]],
-        points: list[float],
-        join_recs: list[JoinRecord],
-    ) -> None:
-        """Even-round forwarding: advance each held hop one trajectory step.
-
-        :meth:`on_round` already deduplicated and classified the held hops
-        into ``actions`` (mid-route forwards and full-delivery finals, with
-        their swarm lookup ``points``) and ``join_recs`` (arrived JOINs to
-        rebroadcast).  The swarm lookups batch into one vectorised sweep
-        while every send — and therefore the edge set, inbox order, and rng
-        draw sequence — happens in exactly the order the one-pass loop
-        produced.
-        """
-        index = self._d_members()
-        # Sends, in original hop order (one batched multicast call).
-        # Mid-route picks index straight into the shared id list via the
-        # batched bounds; only finals materialize their member window.
-        if actions:
-            a, b, wr, ids_list, n = self._window_bounds(
-                index, points, self._swarm_radius
-            )
-            my_id = self.id
-            r = self._r
-            rnd = ctx.rng.random
-            batch: list[tuple[tuple[int, ...], object]] = []
-            for i, (is_final, msg, next_k) in enumerate(actions):
-                if a is None:
-                    ai = 0
-                    size = n
-                else:
-                    ai = a[i]
-                    bi = b[i]
-                    size = n - ai + bi if wr[i] else bi - ai
-                if is_final:
-                    if a is None:
-                        members = ids_list
-                    elif wr[i]:
-                        members = ids_list[ai:] + ids_list[:bi]
-                    else:
-                        members = ids_list[ai:bi]
-                    out = Hop(msg, next_k)
-                    batch.append((tuple(w for w in members if w != my_id), out))
-                    # A holder inside the target swarm delivers to itself too.
-                    if self._in_swarm(msg.target):
-                        self._deliver(ctx, msg)
-                elif size:
-                    picks = []
-                    for _ in range(r):
-                        j = ai + int(rnd() * size)
-                        picks.append(ids_list[j - n] if j >= n else ids_list[j])
-                    batch.append((tuple(picks), Hop(msg, next_k)))
-            ctx.send_many_batch(batch)
-        self._rebroadcast_joins(ctx, index, join_recs)
 
     def _rebroadcast_joins(
         self, ctx: NodeContext, index: PositionIndex, join_recs: list[JoinRecord]
@@ -779,18 +665,18 @@ class MaintenanceNode(NodeProtocol):
             out.append((receivers[k], batch))
         ctx.send_singles_batch(out)
 
-    def _even_hops_plane(
+    def _even_hops(
         self, ctx: NodeContext, delivery: HopDelivery, rows: np.ndarray
     ) -> list[JoinRecord]:
-        """Even-round forwarding over shared hop columns (plane receive path).
+        """Even-round forwarding: advance each held hop one trajectory step.
 
-        Behaviour-identical to classifying per-copy ``Hop`` objects and
-        running :meth:`_forward_hops`: rows arrive in legacy inbox order
-        already deduplicated to first occurrences (the plane's delivery pass
-        reproduces the legacy per-receiver seen-set), and the per-action
-        loop below draws rng and files sends in exactly the legacy
-        sequence.  Returns the arrived join records for rebroadcast (in
-        arrival order).
+        Rows arrive in arrival order, already deduplicated to first
+        occurrences by ``(message identity, step)`` (the plane's delivery
+        pass).  Mid-route hops go to ``r`` random members of the next
+        trajectory point's swarm; finals become the full target-swarm
+        delivery multicast; arrived JOINs are returned for rebroadcast (in
+        arrival order).  The per-action loop below draws rng and files
+        sends in row order.
         """
         cache = delivery.cache
         cols = cache.get("even")
@@ -943,12 +829,6 @@ class MaintenanceNode(NodeProtocol):
             ctx.count_hop_sends(total)
         return join_recs
 
-    def _in_swarm(self, point: float) -> bool:
-        if self.pos is None:
-            return False
-        gap = abs(self.pos - point)
-        return min(gap, 1.0 - gap) <= self._swarm_radius
-
     def _launch_joins(self, ctx: NodeContext, e: int) -> None:
         """Launch this cycle's JOIN requests (self + sponsored fresh nodes)."""
         target_epoch = e + self.params.lam + 2
@@ -1012,13 +892,7 @@ class MaintenanceNode(NodeProtocol):
     # Odd rounds
     # ------------------------------------------------------------------
 
-    def _odd_round(
-        self,
-        ctx: NodeContext,
-        join_batches: list[JoinBatch],
-        hops: list[Hop],
-        handover_points: list[float],
-    ) -> None:
+    def _odd_round(self, ctx: NodeContext, join_batches: list[JoinBatch]) -> None:
         e_next = ctx.round // 2 + 1
         # 1. Store handover records for the next overlay.
         self.h_records = {}
@@ -1039,41 +913,11 @@ class MaintenanceNode(NodeProtocol):
         else:
             h_index = None
 
-        # 2. Handover in-flight hops + deliver finals.  ``hops`` arrives
-        # deduplicated with its handover lookup points pre-collected by
-        # :meth:`on_round`; batch the lookups, then execute in original hop
-        # order (final deliveries may send and draw rng, so their
-        # interleaving with handovers must not change).  With the columnar
-        # plane the same work runs over shared row columns instead.
+        # 2. Handover in-flight hops + deliver finals over the shared row
+        # columns (see _odd_hops).
         hop_index = h_index if h_index is not None else self._d_members()
-        if ctx.hops is not None:
-            self._odd_hops_plane(ctx, ctx.hop_delivery, ctx.hops, hop_index)
-        if hops:
-            a, b, wr, ids_list, n = self._window_bounds(
-                hop_index, handover_points, self._swarm_radius
-            )
-            r = self._r
-            rnd = ctx.rng.random
-            batch: list[tuple[tuple[int, ...], object]] = []
-            wi = 0
-            for hop in hops:
-                if hop.step >= hop.msg.final_step:
-                    self._deliver(ctx, hop.msg)
-                    continue
-                if a is None:
-                    ai = 0
-                    size = n
-                else:
-                    ai = a[wi]
-                    size = n - ai + b[wi] if wr[wi] else b[wi] - ai
-                wi += 1
-                if size:
-                    picks = []
-                    for _ in range(r):
-                        j = ai + int(rnd() * size)
-                        picks.append(ids_list[j - n] if j >= n else ids_list[j])
-                    batch.append((tuple(picks), hop))
-            ctx.send_many_batch(batch)
+        if ctx.hops.size:
+            self._odd_hops(ctx, ctx.hop_delivery, ctx.hops, hop_index)
 
         # 3. Initial multicasts of this cycle's launches.
         launches = self._pending_launch
@@ -1082,27 +926,19 @@ class MaintenanceNode(NodeProtocol):
             lwins = self._windows(
                 hop_index, [m.trajectory[0] for m in launches], self._swarm_radius
             )
-            if ctx.has_hop_plane:
-                ctx.send_hops_batch(
-                    [
-                        (msg, 0, [w for w in lwins[i] if w != my_id])
-                        for i, msg in enumerate(launches)
-                    ]
-                )
-            else:
-                ctx.send_many_batch(
-                    [
-                        (tuple(w for w in lwins[i] if w != my_id), Hop(msg, 0))
-                        for i, msg in enumerate(launches)
-                    ]
-                )
+            ctx.send_hops_batch(
+                [
+                    (msg, 0, [w for w in lwins[i] if w != my_id])
+                    for i, msg in enumerate(launches)
+                ]
+            )
             launches.clear()
 
         # 4. Matchmaking: introduce next-overlay neighbours to each other.
         if h_index is not None:
             self._matchmake(ctx, h_index)
 
-    def _odd_hops_plane(
+    def _odd_hops(
         self,
         ctx: NodeContext,
         delivery: HopDelivery,
@@ -1111,11 +947,12 @@ class MaintenanceNode(NodeProtocol):
     ) -> None:
         """Odd-round handover/delivery over shared hop columns.
 
-        Mirrors the legacy odd-round hop loop exactly: rows arrive already
-        deduplicated to first occurrences in arrival order (the plane's
-        delivery pass), batch the handover window bounds over the non-final
-        rows, then walk all rows in order so final deliveries (which may
-        send and draw rng) interleave with handovers unchanged.
+        Rows arrive already deduplicated to first occurrences in arrival
+        order (the plane's delivery pass).  Mid-route hops are handed over
+        to ``r`` random members of the next overlay's swarm; the window
+        bounds batch over the non-final rows, then all rows are walked in
+        order so final deliveries (which may send and draw rng) interleave
+        with handovers in row order.
         """
         cache = delivery.cache
         cols = cache.get("odd")
@@ -1158,9 +995,9 @@ class MaintenanceNode(NodeProtocol):
         r = self._r
         rng = ctx.rng
 
-        # Pass 1 — rng and node state, in row order (see _even_hops_plane).
-        # Odd finals always reach ``_deliver`` in the legacy loop, but only
-        # record-class rows and rank-matching tokens do anything — both
+        # Pass 1 — rng and node state, in row order (see _even_hops).
+        # Every odd final is a delivery, but only record-class rows and
+        # rank-matching tokens touch this node's state — both
         # predicted here without rng (the rank test uses the *current*
         # overlay members, not ``hop_index``).
         events: list[int] = []

@@ -82,7 +82,6 @@ class MaintenanceSimulation:
         health: HealthMonitor | None = None,
         profiler: PhaseProfiler | None = None,
         epoch_cache: bool = True,
-        hop_plane: bool = True,
         workers: int = 1,
     ) -> None:
         self.params = params
@@ -98,7 +97,6 @@ class MaintenanceSimulation:
             health=health,
             profiler=profiler,
             epoch_cache=epoch_cache,
-            hop_plane=hop_plane,
             workers=workers,
         )
         self.engine.seed_nodes(range(params.n))

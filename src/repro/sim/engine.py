@@ -34,7 +34,7 @@ from repro.faults.health import DegradationEvent, HealthMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.epochs import EpochCache
-from repro.sim.hopplane import HopDelivery, HopPlane
+from repro.sim.hopplane import HopDelivery
 from repro.sim.identity import Lifecycle
 from repro.sim.metrics import MetricsCollector, RoundMetrics
 from repro.sim.network import Inbox, Network
@@ -81,12 +81,17 @@ class EngineServices:
     epoch_cache: EpochCache | None = None
 
 
+#: The row array of a node that received no hops this round.
+_NO_HOPS = np.empty(0, dtype=np.int32)
+
+
 class NodeContext:
     """One node's window onto a single round.
 
-    When the engine's columnar hop plane is mounted, routed hops arrive as
+    Routed hops travel the network's columnar hop plane: they arrive as
     ``hops`` (this node's row-id array into the shared ``hop_delivery``
-    columns) instead of inbox objects, and are sent via :meth:`send_hops`.
+    columns, empty when none arrived) instead of inbox objects, and are
+    sent via :meth:`send_hops`.
     """
 
     __slots__ = (
@@ -110,7 +115,7 @@ class NodeContext:
         params: ProtocolParams,
         joined_round: int,
         network: Network,
-        hops: "np.ndarray | None" = None,
+        hops: np.ndarray | None = None,
         hop_delivery: HopDelivery | None = None,
     ) -> None:
         self.node_id = node_id
@@ -120,7 +125,7 @@ class NodeContext:
         self.params = params
         self.joined_round = joined_round
         self._network = network
-        self.hops = hops
+        self.hops = _NO_HOPS if hops is None else hops
         self.hop_delivery = hop_delivery
 
     @property
@@ -153,11 +158,6 @@ class NodeContext:
         per-hop forwarding loops.
         """
         self._network.send_many_batch(self.node_id, items)
-
-    @property
-    def has_hop_plane(self) -> bool:
-        """Whether routed hops travel the columnar plane this run."""
-        return self._network.plane is not None
 
     def send_hops(self, msg: object, step: int, dsts: Sequence[int]) -> None:
         """Multicast one routed hop via the columnar plane (plain-int dsts)."""
@@ -242,7 +242,6 @@ class Engine:
         health: HealthMonitor | None = None,
         profiler: PhaseProfiler | None = None,
         epoch_cache: bool = True,
-        hop_plane: bool = True,
         workers: int = 1,
     ) -> None:
         if workers < 1:
@@ -267,12 +266,6 @@ class Engine:
         self.strict_budget = strict_budget
         self.lifecycle = Lifecycle()
         self.network = Network()
-        if hop_plane and faults is None:
-            # The columnar hop plane assumes every send of a round shares one
-            # delivery fate; any fault plan can delay/duplicate copies across
-            # rounds, which would defeat per-round hop interning — fall back
-            # to the per-copy object path whenever faults are in play.
-            self.network.plane = HopPlane()
         self.fault_plan = faults
         self.faults = (
             FaultInjector(faults, position_hash=self.services.position_hash)
@@ -463,9 +456,14 @@ class Engine:
                 self._shard = ShardRunner(self, self.workers)
             self._shard.run_compute(t, decision, inboxes, hop_delivery, ordered)
         else:
-            hop_rows = hop_delivery.rows if hop_delivery is not None else None
+            hop_rows = hop_delivery.rows
+            stalled = (
+                self.faults.stalled_nodes(t, ordered)
+                if self.faults is not None
+                else set()
+            )
             for v in ordered:
-                if self.faults is not None and self.faults.stalled(t, v):
+                if v in stalled:
                     continue
                 ctx = NodeContext(
                     node_id=v,
@@ -475,7 +473,7 @@ class Engine:
                     params=self.params,
                     joined_round=self.lifecycle.joined_round(v),
                     network=self.network,
-                    hops=hop_rows.get(v) if hop_rows is not None else None,
+                    hops=hop_rows.get(v),
                     hop_delivery=hop_delivery,
                 )
                 self._protocols[v].on_round(ctx)

@@ -25,12 +25,13 @@ copies per logical hop per receiver that is the dominant round cost.
   the columns through :attr:`HopDelivery.cache` and merely gather their row
   subset — instead of once per copy per receiver.
 
-The plane is only mounted when no fault plan is active: fault fates can
-split one round's copies across delivery rounds, which breaks the one-round
-row-interning invariant (a delayed copy must still deduplicate against a
-fresh copy of the same logical hop; see ``Engine.__init__``).  Fault runs
-keep the per-copy object path, whose behaviour the plane is pinned against
-bit-for-bit by the equivalence suite.
+The plane carries every run's hops, faulted ones included.  Fault fates are
+column operations over a closed round's per-copy ``(src, dst, row)``
+arrays: :meth:`FrozenHopRound.select` keeps (or repeats) the copies a fate
+pass delivered with one latency, and :meth:`FrozenHopRound.merge` joins the
+copies due in one round — delayed ones first — into a single row table,
+re-interning rows by ``(message identity, step)`` so a delayed copy still
+deduplicates against a fresh copy of the same logical hop.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = ["HopPlane", "FrozenHopRound", "HopDelivery"]
 
 
-def _freeze_i32(col: list[int]) -> np.ndarray:
-    """One-shot int32 conversion of a live append column.
+def _freeze_i32(col: ArrayLike) -> np.ndarray:
+    """One-shot int32 conversion of a live append column (or a fate slice).
 
     The live plane appends into plain Python lists — extending a list with a
     list is a pointer memcpy, an order of magnitude cheaper per call than
@@ -51,7 +53,7 @@ def _freeze_i32(col: list[int]) -> np.ndarray:
     forwarding paths — and pays the machine-typing cost exactly once here,
     as a single C-level conversion at freeze time.
     """
-    return np.array(col, dtype=np.int32)
+    return np.asarray(col, dtype=np.int32)
 
 
 class HopDelivery:
@@ -99,14 +101,14 @@ class FrozenHopRound:
     def __init__(
         self,
         msgs: list[object],
-        steps: list[int],
-        srcs: list[int],
-        send_rows: list[int],
-        lens: list[int],
-        flat: list[int],
+        steps: ArrayLike,
+        srcs: ArrayLike,
+        send_rows: ArrayLike,
+        lens: ArrayLike,
+        flat: ArrayLike,
     ) -> None:
         self.msgs = msgs
-        self.steps = np.array(steps, dtype=np.int32)
+        self.steps = _freeze_i32(steps)
         self.srcs = _freeze_i32(srcs)
         self.send_rows = _freeze_i32(send_rows)
         self.lens = _freeze_i32(lens)
@@ -119,6 +121,60 @@ class FrozenHopRound:
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The round's hop edges as ``(srcs, dsts)`` per-copy id arrays."""
         return np.repeat(self.srcs, self.lens), self.flat
+
+    def select(self, idx: np.ndarray) -> "FrozenHopRound":
+        """The copies at per-copy positions ``idx`` (repeats allowed).
+
+        One single-receiver send per entry, in ``idx`` order, sharing this
+        round's row table — a fate pass files each latency's copies this way.
+        """
+        srcs, dsts = self.edge_columns()
+        rows = np.repeat(self.send_rows, self.lens)
+        return FrozenHopRound(
+            self.msgs,
+            self.steps,
+            srcs[idx],
+            rows[idx],
+            np.ones(len(idx), dtype=np.int32),
+            dsts[idx],
+        )
+
+    @staticmethod
+    def merge(rounds: "Sequence[FrozenHopRound]") -> "FrozenHopRound":
+        """Concatenate the copies of ``rounds``, in order, under one row table.
+
+        Each used row is re-interned by ``(message identity, step)``, so a
+        delayed copy and a fresh copy of the same logical hop share a row
+        and deduplicate at delivery.
+        """
+        reg: dict[int, int] = {}
+        msgs: list[object] = []
+        steps: list[int] = []
+        parts = []
+        for fr in rounds:
+            used = np.unique(fr.send_rows)
+            remap = np.zeros(len(fr.msgs), dtype=np.int32)
+            step_of = fr.steps.tolist()
+            for r in used.tolist():
+                m = fr.msgs[r]
+                # repro: allow(id-ordering): identity interning only, as in
+                # HopPlane.send; the id value never orders anything.
+                key = (id(m) << 7) | step_of[r]
+                row = reg.get(key)
+                if row is None:
+                    row = reg[key] = len(msgs)
+                    msgs.append(m)
+                    steps.append(step_of[r])
+                remap[r] = row
+            parts.append(remap[fr.send_rows])
+        return FrozenHopRound(
+            msgs,
+            steps,
+            np.concatenate([fr.srcs for fr in rounds]),
+            np.concatenate(parts),
+            np.concatenate([fr.lens for fr in rounds]),
+            np.concatenate([fr.flat for fr in rounds]),
+        )
 
     def iter_edges(self):
         """Yield ``(src, dst)`` per copy, in send order (EdgeLog expansion)."""
@@ -314,10 +370,8 @@ class HopPlane:
     def close_round(self) -> FrozenHopRound | None:
         """Freeze this round's hop sends; ``None`` when there were none.
 
-        Row interning is per round by design: all copies of a logical hop
-        are sent and delivered within one round boundary (the plane is never
-        mounted together with fault plans, which are the only source of
-        cross-round copies).
+        Row interning is per round: copies a fault fate delays into a later
+        round are re-interned there by :meth:`FrozenHopRound.merge`.
         """
         if not self._msgs:
             return None

@@ -23,15 +23,25 @@ C-level ``tolist`` instead of a per-id generator, delivery shares one
 ``has_pending`` reads a running counter instead of scanning the buckets.
 
 **Fault hook.**  An optional :attr:`Network.fault_hook` (duck-typed to
-:class:`repro.faults.injector.FaultInjector`) is consulted once per frozen
-receiver at ``close_send_phase``: it returns the message's *fates* — a tuple
-of delivery latencies in rounds (``(1,)`` = normal, ``()`` = dropped,
-``(1+k,)`` = delayed, extra entries = duplicates).  The pending queue is a
-set of latency buckets, so delayed copies simply sit in a higher bucket
-until their round comes; churn is still checked at delivery time, so a node
-that leaves while a delayed message is in flight never receives it.  Edges
-are frozen *before* the hook runs — a dropped message still created its
-edge (the adversary observes send attempts, the environment eats payloads).
+:class:`repro.faults.injector.FaultInjector`) is consulted once per round at
+``close_send_phase``, over every frozen copy as columns: singles (batched
+ones expanded in place), then multicasts, then hop-plane copies, each in
+send order — the *copy sequence* the fate PRF numbers.  It returns the
+copies' fates as ``(idx, lat)`` columns: one entry per delivered copy with
+its input position and latency in rounds (no entry = dropped, latency
+``1+k`` = delayed, a repeated position = a duplicate).  The pending queue
+is a set of latency buckets, so delayed copies simply sit in a higher
+bucket until their round comes; churn is still checked at delivery time,
+so a node that leaves while a delayed message is in flight never receives
+it.  Edges are frozen *before* the hook runs — a dropped message still
+created its edge (the adversary observes send attempts, the environment
+eats payloads).
+
+Routed hops always travel the columnar :class:`~repro.sim.hopplane.HopPlane`.
+Their fates file per-latency plane fragments into the hop buckets; at
+delivery the due fragments (delayed ones first, then the fresh round) merge
+into one row table, so a delayed copy deduplicates against a fresh copy of
+the same logical hop.
 """
 
 from __future__ import annotations
@@ -56,13 +66,20 @@ Inbox = list[tuple[int, object]]
 _BATCH = object()
 
 
+def _no_hops() -> HopDelivery:
+    """A round without hop arrivals."""
+    return HopDelivery([], np.empty(0, dtype=np.int32), {}, {}, total=0)
+
+
 class FaultHook(Protocol):  # pragma: no cover - typing aid only
     """What the network needs from a fault injector."""
 
     @property
     def message_faults_active(self) -> bool: ...
 
-    def message_fates(self, t: int, src: int, dst: int) -> tuple[int, ...]: ...
+    def fates(
+        self, t: int, srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class EdgeLog:
@@ -207,6 +224,7 @@ class Network:
         # lives in bucket 1; only faults populate higher buckets).
         self._pending: dict[int, list[tuple[int, int, object]]] = {}
         self._pending_multi: dict[int, list[tuple[int, Sequence[int], object]]] = {}
+        self._pending_hops: dict[int, list[FrozenHopRound]] = {}
         self._sent_counts: defaultdict[int, int] = defaultdict(int)
         # Running count of undelivered receiver-copies across the sending
         # lists and every bucket; ``has_pending`` is O(1) because of it.
@@ -214,14 +232,12 @@ class Network:
         #: Optional fault injector (see module docstring); ``None`` = the
         #: paper's perfectly reliable synchronous network.
         self.fault_hook: FaultHook | None = None
-        #: Optional columnar transport for routed hops (mounted by the engine
-        #: in fault-free runs; see :mod:`repro.sim.hopplane`).  When present,
+        #: Columnar transport for routed hops (see :mod:`repro.sim.hopplane`):
         #: protocols send hops via :meth:`send_hops` and receive them as
         #: shared row arrays (:attr:`hop_delivery`) instead of inbox objects.
-        self.plane: HopPlane | None = None
-        self._pending_hops: FrozenHopRound | None = None
-        #: The hop arrivals of the latest :meth:`deliver` call (or ``None``).
-        self.hop_delivery: HopDelivery | None = None
+        self.plane = HopPlane()
+        #: The hop arrivals of the latest :meth:`deliver` call.
+        self.hop_delivery: HopDelivery = _no_hops()
         self._round = 0  # rounds closed so far (the ``t`` passed to the hook)
 
     # ------------------------------------------------------------------
@@ -299,8 +315,7 @@ class Network:
         """Multicast one routed hop through the columnar plane.
 
         Counts copies exactly like :meth:`send_many` (edges, congestion and
-        ``has_pending`` stay consistent across both transports); requires a
-        mounted :attr:`plane`.
+        ``has_pending`` stay consistent across both transports).
         """
         n = self.plane.send(src, msg, step, dsts)
         if n:
@@ -337,73 +352,96 @@ class Network:
 
         ``E_t`` is a lazily-expanded :class:`EdgeLog` over the frozen send
         lists.  The messages move to the pending buckets for later delivery;
-        the fault hook (if any) assigns each receiver its fates here.
+        the fault hook (if any) assigns every copy its fates here.
         """
-        hop_round = self.plane.close_round() if self.plane is not None else None
+        hop_round = self.plane.close_round()
         edges = EdgeLog(self._sending, self._sending_multi, hop_round)
-        if hop_round is not None:
-            if self._pending_hops is not None:  # pragma: no cover - engine bug
-                raise RuntimeError("hop round closed before previous delivery")
-            self._pending_hops = hop_round
         sent = dict(self._sent_counts)
         hook = self.fault_hook
-        if hook is None or not hook.message_faults_active:
+        if hook is not None and hook.message_faults_active:
+            self._apply_fates(hook, hop_round)
+        else:
             self._pending.setdefault(1, []).extend(self._sending)
             self._pending_multi.setdefault(1, []).extend(self._sending_multi)
-        else:
-            self._apply_faults(hook)
+            if hop_round is not None:
+                self._pending_hops.setdefault(1, []).append(hop_round)
         self._sending = []
         self._sending_multi = []
         self._sent_counts = defaultdict(int)
         self._round += 1
         return edges, sent
 
-    def _apply_faults(self, hook: FaultHook) -> None:
-        """File each frozen message into its fate buckets."""
-        t = self._round
-        pending = self._pending
-        pending_multi = self._pending_multi
-        count = 0
-        singles_frozen = 0
+    def _apply_fates(self, hook: FaultHook, hop_round: FrozenHopRound | None) -> None:
+        """File every frozen copy into its fate buckets (one columnar pass)."""
+        singles: list[tuple[int, int, object]] = []
         for src, dst, msg in self._sending:
             if dst is _BATCH:
-                # Expand in place: each batched single gets its own fates and
-                # lands in the buckets as a plain triple, preserving order.
-                singles_frozen += len(msg)
-                for d2, m2 in msg:
-                    for latency in hook.message_fates(t, src, d2):
-                        pending.setdefault(latency, []).append((src, d2, m2))
-                        count += 1
-                continue
-            singles_frozen += 1
-            for latency in hook.message_fates(t, src, dst):
-                pending.setdefault(latency, []).append((src, dst, msg))
-                count += 1
-        for src, dsts, msg in self._sending_multi:
-            # Group surviving receivers by latency so the shared-payload
-            # multicast structure (and in-bucket receiver order) is kept;
-            # an undisturbed multicast stays one entry in bucket 1.
-            groups: dict[int, list[int]] = {}
-            for dst in dsts:
-                for latency in hook.message_fates(t, src, dst):
-                    groups.setdefault(latency, []).append(dst)
-            for latency, group in groups.items():
-                pending_multi.setdefault(latency, []).append((src, group, msg))
-                count += len(group)
+                singles.extend([(src, d2, m2) for d2, m2 in msg])
+            else:
+                singles.append((src, dst, msg))
+        multis = self._sending_multi
+        m_lens = [len(dsts) for _, dsts, _ in multis]
+        m_dsts: list[int] = []
+        for _, dsts, _ in multis:
+            m_dsts.extend(dsts)
+        h_srcs, h_dsts = (
+            hop_round.edge_columns()
+            if hop_round is not None
+            else (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
+        )
+        ns, nm = len(singles), len(m_dsts)
+        srcs = np.concatenate(
+            [
+                np.array([s for s, _, _ in singles], dtype=np.int64),
+                np.repeat(np.array([s for s, _, _ in multis], dtype=np.int64), m_lens),
+                h_srcs,
+            ]
+        )
+        dsts = np.concatenate(
+            [
+                np.array([d for _, d, _ in singles], dtype=np.int64),
+                np.array(m_dsts, dtype=np.int64),
+                h_dsts,
+            ]
+        )
+        idx, lat = hook.fates(self._round, srcs, dsts)
+        c1, c2 = np.searchsorted(idx, [ns, ns + nm]).tolist()
+        pending = self._pending
+        for i, latency in zip(idx[:c1].tolist(), lat[:c1].tolist()):
+            pending.setdefault(latency, []).append(singles[i])
+        # Group each multicast's surviving receivers by latency so the
+        # shared-payload structure (and in-bucket receiver order) is kept;
+        # an undisturbed multicast stays one entry in bucket 1.
+        m_idx = idx[c1:c2] - ns
+        owners = np.searchsorted(np.cumsum(m_lens), m_idx, side="right")
+        groups: dict[tuple[int, int], list[int]] = {}
+        for owner, i, latency in zip(
+            owners.tolist(), m_idx.tolist(), lat[c1:c2].tolist()
+        ):
+            groups.setdefault((owner, latency), []).append(m_dsts[i])
+        for (owner, latency), group in groups.items():
+            src, _, msg = multis[owner]
+            self._pending_multi.setdefault(latency, []).append((src, group, msg))
+        if hop_round is not None:
+            h_idx = idx[c2:] - (ns + nm)
+            h_lat = lat[c2:]
+            for latency in np.unique(h_lat).tolist():
+                self._pending_hops.setdefault(latency, []).append(
+                    hop_round.select(h_idx[h_lat == latency])
+                )
         # Drops and duplicates change the copy count; re-base the counter on
         # what actually reached the buckets this round.
-        self._pending_count += count - (
-            singles_frozen + sum(len(d) for _, d, _ in self._sending_multi)
-        )
+        self._pending_count += idx.size - srcs.size
 
     def deliver(
         self, alive: frozenset[int] | set[int]
     ) -> tuple[dict[int, Inbox], dict[int, int]]:
         """Deliver due pending messages to surviving receivers.
 
-        Returns ``(inboxes, received_counts)``.  Must be called after the
-        round's churn has been applied so that churned-out nodes receive
-        nothing.  Higher buckets shift down one step per call.
+        Returns ``(inboxes, received_counts)``; the due hop copies land in
+        :attr:`hop_delivery`.  Must be called after the round's churn has
+        been applied so that churned-out nodes receive nothing.  Higher
+        buckets shift down one step per call.
 
         Receivers are grouped without per-message tuple churn: all copies of
         one multicast share a single ``(sender, payload)`` pair, and the
@@ -411,10 +449,13 @@ class Network:
         """
         due = self._pending.pop(1, [])
         due_multi = self._pending_multi.pop(1, [])
+        due_hops = self._pending_hops.pop(1, [])
         if self._pending:
             self._pending = {k - 1: v for k, v in self._pending.items()}
         if self._pending_multi:
             self._pending_multi = {k - 1: v for k, v in self._pending_multi.items()}
+        if self._pending_hops:
+            self._pending_hops = {k - 1: v for k, v in self._pending_hops.items()}
         inboxes: defaultdict[int, Inbox] = defaultdict(list)
         inbox_of = inboxes.__getitem__
         delivered = len(due)
@@ -437,13 +478,16 @@ class Network:
         # Every delivery appended exactly one inbox entry, so the received
         # counts are the inbox lengths — no per-message counter updates.
         received = {dst: len(entries) for dst, entries in inboxes.items()}
-        hop_round = self._pending_hops
-        self._pending_hops = None
-        self.hop_delivery = None
-        if hop_round is not None:
+        if due_hops:
+            # Delayed fragments were filed before the fresh round: they lead.
+            hop_round = (
+                due_hops[0] if len(due_hops) == 1 else FrozenHopRound.merge(due_hops)
+            )
             delivery = hop_round.deliver(alive)
             self._pending_count -= delivery.total
             for dst, count in delivery.counts.items():
                 received[dst] = received.get(dst, 0) + count
-            self.hop_delivery = delivery
+        else:
+            delivery = _no_hops()
+        self.hop_delivery = delivery
         return dict(inboxes), received

@@ -249,10 +249,10 @@ class _SendLog:
     into plane columns) run unchanged.
     """
 
-    def __init__(self, plane_on: bool) -> None:
+    def __init__(self) -> None:
         self.items: list[tuple] = []
         self.marks: list[tuple[int, int, int]] = []  # (node, items_hi, plane_hi)
-        self.plane = HopPlane() if plane_on else None
+        self.plane = HopPlane()
 
     # Network API used by NodeContext --------------------------------
     def send(self, src: int, dst: int, msg: object) -> None:
@@ -281,11 +281,10 @@ class _SendLog:
         pass  # the master re-counts while splicing
 
     def mark(self, node: int) -> None:
-        plane_hi = len(self.plane._srcs) if self.plane is not None else 0
-        self.marks.append((node, len(self.items), plane_hi))
+        self.marks.append((node, len(self.items), len(self.plane._srcs)))
 
     def plane_pack(self):
-        return self.plane.pack() if self.plane is not None else None
+        return self.plane.pack()
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +329,6 @@ def _worker_main(
     protocols = engine._protocols
     rngs = engine._rngs
     params = engine.params
-    # repro: allow(shard-master-state): read-only feature flag captured at
-    # fork — whether the hop plane exists never changes mid-run
-    plane_on = engine.network.plane is not None
     # Per-shard compute timing reuses the profiler's injectable clock (no
     # direct wall-clock reads here); an unprofiled run measures nothing.
     clock = engine.profiler.clock if engine.profiler is not None else None
@@ -399,7 +395,7 @@ def _worker_main(
         if shared is not None:
             msgs, steps = shared
             delivery = HopDelivery(msgs, steps, hop_rows, {}, total=0)
-        log = _SendLog(plane_on)
+        log = _SendLog()
         for v in ordered:
             if v in stalled:
                 continue
@@ -411,7 +407,7 @@ def _worker_main(
                 params=params,
                 joined_round=joined[v],
                 network=log,
-                hops=hop_rows.get(v) if delivery is not None else None,
+                hops=hop_rows.get(v),
                 hop_delivery=delivery,
             )
             proto = protocols[v]
@@ -551,13 +547,9 @@ class ShardRunner:
         engine = self.engine
         faults = engine.faults
         pipe0, shm0 = self.stats.bytes_pipe, self.stats.bytes_shm
-        # Stall draws happen master-side, for every alive node in the same
-        # order as the reference loop (FaultInjector counts them).
-        stalled: set[int] = set()
-        if faults is not None:
-            for v in ordered:
-                if faults.stalled(t, v):
-                    stalled.add(v)
+        # Stall draws happen master-side, over every alive node exactly as
+        # in the reference loop (FaultInjector counts them).
+        stalled = faults.stalled_nodes(t, ordered) if faults is not None else set()
         per: list[dict] = [
             {"leaves": [], "joins": [], "stalled": set(), "calls": [], "inboxes": {}}
             for _ in range(self.workers)
@@ -584,11 +576,9 @@ class ShardRunner:
         engine._pending_node_calls = []
         for v, inbox in inboxes.items():
             per[self.band(v)]["inboxes"][v] = inbox
-        by_band: list[dict] | None = None
-        if hop_delivery is not None:
-            by_band = [{} for _ in range(self.workers)]
-            for v, rows in hop_delivery.rows.items():
-                by_band[self.band(v)][v] = rows
+        by_band: list[dict] = [{} for _ in range(self.workers)]
+        for v, rows in hop_delivery.rows.items():
+            by_band[self.band(v)][v] = rows
         # Encode the downlink; on overflow regrow the slab and re-encode
         # from scratch (the encoder memo only holds offsets of the current
         # arena extent).
@@ -614,7 +604,7 @@ class ShardRunner:
                             self._down_enc,
                             control,
                             p["inboxes"],
-                            by_band[k] if by_band is not None else None,
+                            by_band[k],
                         )
                     )
                 break
@@ -732,12 +722,8 @@ class ShardRunner:
         item_lo = [0] * self.workers
         plane_lo = [0] * self.workers
         flat_offs: list[list[int]] = []
-        for items, marks, plane_pack, _secs in results:
-            if plane_pack is not None:
-                lens = plane_pack[3]
-                flat_offs.append(list(accumulate(lens, initial=0)))
-            else:
-                flat_offs.append([0])
+        for _items, _marks, plane_pack, _secs in results:
+            flat_offs.append(list(accumulate(plane_pack[3], initial=0)))
         for v in ordered:
             if v in stalled:
                 continue
@@ -763,7 +749,7 @@ class ShardRunner:
                         [(d, self._canon_payload(m, t)) for d, m in item[1]],
                     )
             item_lo[k] = items_hi
-            if plane_pack is not None and plane_hi > plane_lo[k]:
+            if plane_hi > plane_lo[k]:
                 msgs, steps, rows, lens, flat = plane_pack
                 offs = flat_offs[k]
                 for i in range(plane_lo[k], plane_hi):

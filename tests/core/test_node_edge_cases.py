@@ -7,8 +7,9 @@ import pytest
 from repro.config import ProtocolParams
 from repro.core.messages import CreateBatch, JoinBatch, JoinRecord, TokenGrant
 from repro.core.node import MaintenanceNode, Phase
-from repro.routing.messages import Hop, make_routed_message
+from repro.routing.messages import make_routed_message
 from repro.sim.engine import EngineServices, NodeContext
+from repro.sim.hopplane import HopPlane
 from repro.sim.network import Network
 from repro.util.rngs import RngService
 
@@ -40,8 +41,36 @@ def ctx_for(node, services, t, inbox):
     )
 
 
-def make_hop(services, params, step, payload=None, target=0.5, rank=None):
-    msg = make_routed_message(
+def hop_ctx_for(node, services, t, arrivals):
+    """A context whose hops arrive through a :class:`HopPlane`.
+
+    ``arrivals`` holds one ``(sender, msg, step)`` copy each, sent in order
+    and delivered the way the engine does: ``send`` -> ``close_round`` ->
+    ``deliver``.
+    """
+    plane = HopPlane()
+    for sender, msg, step in arrivals:
+        plane.send(sender, msg, step, [node.id])
+    delivery = plane.close_round().deliver({node.id})
+    net = Network()
+    return (
+        NodeContext(
+            node_id=node.id,
+            t=t,
+            inbox=[],
+            rng=services.rng.node_stream(node.id),
+            params=services.params,
+            joined_round=0,
+            network=net,
+            hops=delivery.rows[node.id],
+            hop_delivery=delivery,
+        ),
+        net,
+    )
+
+
+def make_msg(services, params, payload=None, target=0.5, rank=None):
+    return make_routed_message(
         msg_id=("probe", "x", 99),
         origin=99,
         origin_position=0.4,
@@ -51,15 +80,14 @@ def make_hop(services, params, step, payload=None, target=0.5, rank=None):
         sample_rank=rank,
         payload=payload if payload is not None else ("probe", "x"),
     )
-    return Hop(msg, step)
 
 
 class TestHopEdgeCases:
     def test_fresh_node_ignores_hops(self, services, params):
         node = MaintenanceNode(1, services)
         node.phase = Phase.FRESH
-        hop = make_hop(services, params, step=2)
-        ctx, net = ctx_for(node, services, 11, [(2, hop)])
+        msg = make_msg(services, params)
+        ctx, net = hop_ctx_for(node, services, 11, [(2, msg, 2)])
         node.on_round(ctx)
         edges, _ = net.close_send_phase()
         assert edges == []
@@ -71,8 +99,10 @@ class TestHopEdgeCases:
         node = MaintenanceNode(1, services)
         dense = {i: (i - 2) / 60 for i in range(2, 62)}
         node.prime(epoch=5, pos=0.5, neighbors=dense)
-        hop = make_hop(services, params, step=2)
-        ctx, net = ctx_for(node, services, 10, [(2, hop), (3, hop), (4, hop)])
+        msg = make_msg(services, params)
+        ctx, net = hop_ctx_for(
+            node, services, 10, [(2, msg, 2), (3, msg, 2), (4, msg, 2)]
+        )
         node.on_round(ctx)
         _, sent = net.close_send_phase()
         # Launches go out next odd round, so all sends here are hop copies.
@@ -81,35 +111,34 @@ class TestHopEdgeCases:
     def test_final_hop_at_even_round_is_defensively_dropped(self, services, params):
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
-        hop = make_hop(services, params, step=params.lam + 1)
-        ctx, net = ctx_for(node, services, 10, [(2, hop)])
+        msg = make_msg(services, params)
+        ctx, net = hop_ctx_for(node, services, 10, [(2, msg, params.lam + 1)])
         node.on_round(ctx)  # must not raise
         assert node.delivered == []
 
     def test_probe_delivery_recorded_at_odd_round(self, services, params):
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
-        hop = make_hop(services, params, step=params.lam + 1)
-        ctx, _ = ctx_for(node, services, 11, [(2, hop)])
+        msg = make_msg(services, params)
+        ctx, _ = hop_ctx_for(node, services, 11, [(2, msg, params.lam + 1)])
         node.on_round(ctx)
         assert node.delivered and node.delivered[0][0] == ("probe", "x")
 
     def test_token_with_wrong_rank_ignored(self, services, params):
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
-        hop = make_hop(
-            services, params, step=params.lam + 1, payload=("token", 7),
-            target=0.5, rank=10_000,
+        msg = make_msg(
+            services, params, payload=("token", 7), target=0.5, rank=10_000
         )
-        ctx, _ = ctx_for(node, services, 11, [(2, hop)])
+        ctx, _ = hop_ctx_for(node, services, 11, [(2, msg, params.lam + 1)])
         node.on_round(ctx)
         assert all(owner != 7 for _, owner in node.tokens)
 
     def test_unknown_payload_recorded_not_crashed(self, services, params):
         node = MaintenanceNode(1, services)
         node.prime(epoch=5, pos=0.5, neighbors={2: 0.51})
-        hop = make_hop(services, params, step=params.lam + 1, payload="mystery")
-        ctx, _ = ctx_for(node, services, 11, [(2, hop)])
+        msg = make_msg(services, params, payload="mystery")
+        ctx, _ = hop_ctx_for(node, services, 11, [(2, msg, params.lam + 1)])
         node.on_round(ctx)
         assert ("mystery", 11) in node.delivered
 

@@ -36,13 +36,13 @@ def test_optimized_matches_golden(scenario):
 @pytest.mark.parametrize("scenario", ["steady", "churn"])
 def test_reference_matches_golden(scenario):
     """With caches disabled the original code paths still run — and agree."""
-    fp = run_scenario(scenario, epoch_cache=False, hop_plane=False)
+    fp = run_scenario(scenario, epoch_cache=False)
     assert fp == GOLDEN[scenario]
 
 
 def test_cache_without_plane_matches_golden():
-    """The epoch cache alone (legacy transport) is also equivalence-safe."""
-    assert run_scenario("steady", hop_plane=False) == GOLDEN["steady"]
+    """The epoch cache on the one hop transport is equivalence-safe."""
+    assert run_scenario("steady") == GOLDEN["steady"]
 
 
 def test_trivial_new_rules_match_golden():

@@ -1,8 +1,10 @@
-"""Columnar hop plane: interning, batched sends, delivery grouping."""
+"""Columnar hop plane: interning, batched sends, delivery grouping, fate slices."""
 
 from __future__ import annotations
 
-from repro.sim.hopplane import HopPlane
+import numpy as np
+
+from repro.sim.hopplane import FrozenHopRound, HopPlane
 
 
 class Msg:
@@ -82,3 +84,36 @@ def test_close_round_resets_interning():
     second = plane.close_round()
     assert first.msgs is not second.msgs
     assert second.copies() == 1
+
+
+def test_select_files_one_copy_per_entry_in_order():
+    plane = HopPlane()
+    m1, m2 = Msg(), Msg()
+    plane.send(1, m1, 0, [10, 11])
+    plane.send(2, m2, 0, [12])
+    frozen = plane.close_round()
+    picked = frozen.select(np.array([2, 0, 0]))  # a duplicate repeats its copy
+    assert picked.msgs is frozen.msgs
+    assert list(picked.iter_edges()) == [(2, 12), (1, 10), (1, 10)]
+    assert picked.lens.tolist() == [1, 1, 1]
+    delivery = picked.deliver(alive={10, 12})
+    assert delivery.counts == {10: 2, 12: 1}
+    assert delivery.rows[10].tolist() == [frozen.msgs.index(m1)]
+
+
+def test_merge_reinterns_rows_across_rounds():
+    m1, m2 = Msg(), Msg()
+    early = HopPlane()
+    early.send(1, m2, 3, [10])
+    early.send(1, m1, 0, [10])
+    delayed = early.close_round().select(np.array([1]))  # only the m1 copy
+    fresh = HopPlane()
+    fresh.send(2, m1, 0, [10, 11])
+    fresh.send(2, m1, 1, [10])  # next step of m1: another logical hop
+    merged = FrozenHopRound.merge([delayed, fresh.close_round()])
+    assert merged.msgs == [m1, m1]
+    assert merged.steps.tolist() == [0, 1]
+    assert list(merged.iter_edges()) == [(1, 10), (2, 10), (2, 11), (2, 10)]
+    delivery = merged.deliver(alive={10, 11})
+    assert delivery.rows[10].tolist() == [0, 1]
+    assert delivery.counts == {10: 3, 11: 1}

@@ -11,11 +11,20 @@ class StubHook:
     """Scripted fault hook: maps (src, dst) to a fates tuple, default clean."""
 
     def __init__(self, fates=None, active=True):
-        self.fates = fates or {}
+        self.by_pair = fates or {}
         self.message_faults_active = active
 
     def message_fates(self, t, src, dst):
-        return self.fates.get((src, dst), (1,))
+        return self.by_pair.get((src, dst), (1,))
+
+    def fates(self, t, srcs, dsts):
+        """The columnar hook: the per-pair tuples flattened to (idx, lat)."""
+        idx, lat = [], []
+        for i, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
+            for latency in self.message_fates(t, src, dst):
+                idx.append(i)
+                lat.append(latency)
+        return np.array(idx, dtype=np.int64), np.array(lat, dtype=np.int64)
 
 
 class TestSendDeliver:
@@ -188,6 +197,99 @@ class TestFaultHook:
         net.close_send_phase()
         inboxes, _ = net.deliver({2})
         assert inboxes == {2: [(1, "x")]}
+
+
+class Msg:
+    """Stand-in routed message (the plane interns on identity)."""
+
+
+class TestHopFates:
+    """Fault fates on the hop plane: per-copy latencies, masks and repeats."""
+
+    def test_delayed_and_fresh_copy_share_one_row(self):
+        net = Network()
+        net.fault_hook = StubHook({(1, 10): (2,)})
+        m = Msg()
+        net.send_hops(1, m, 0, [10])
+        net.close_send_phase()
+        net.deliver({10})
+        assert net.hop_delivery.rows == {}
+        net.send_hops(2, m, 0, [10])  # the same logical hop, one round later
+        net.close_send_phase()
+        _, received = net.deliver({10})
+        delivery = net.hop_delivery
+        assert delivery.msgs == [m]
+        assert delivery.rows[10].tolist() == [0]
+        assert delivery.counts == {10: 2}
+        assert received == {10: 2}
+        assert not net.has_pending
+
+    def test_delayed_copy_to_churned_receiver_not_delivered(self):
+        net = Network()
+        net.fault_hook = StubHook({(1, 10): (2,)})
+        net.send_hops(1, Msg(), 0, [10, 11])
+        net.close_send_phase()
+        net.deliver({10, 11})
+        assert set(net.hop_delivery.rows) == {11}
+        _, received = net.deliver({11})  # 10 left while its copy was delayed
+        assert net.hop_delivery.rows == {}
+        assert received == {}
+        assert not net.has_pending
+
+    def test_has_pending_drains_after_last_hop_bucket(self):
+        net = Network()
+        net.fault_hook = StubHook({(1, 10): (3,), (1, 11): (2,)})
+        net.send_hops(1, Msg(), 0, [10, 11, 12])
+        net.close_send_phase()
+        alive = {10, 11, 12}
+        for due in ({12}, {11}):
+            assert net.has_pending
+            net.deliver(alive)
+            assert set(net.hop_delivery.rows) == due
+        assert net.has_pending
+        net.deliver(alive)
+        assert set(net.hop_delivery.rows) == {10}
+        assert not net.has_pending
+
+    def test_dropped_hop_copy_keeps_its_edge(self):
+        net = Network()
+        net.fault_hook = StubHook({(1, 10): ()})
+        net.send_hops(1, Msg(), 0, [10, 11])
+        edges, sent = net.close_send_phase()
+        assert list(edges) == [(1, 10), (1, 11)]
+        assert sent == {1: 2}
+        _, received = net.deliver({10, 11})
+        assert set(net.hop_delivery.rows) == {11}
+        assert received == {11: 1}
+        assert not net.has_pending
+
+    def test_duplicate_raises_count_not_rows(self):
+        net = Network()
+        net.fault_hook = StubHook({(1, 10): (1, 1)})
+        m = Msg()
+        net.send_hops(1, m, 0, [10])
+        net.close_send_phase()
+        _, received = net.deliver({10})
+        assert net.hop_delivery.rows[10].tolist() == [0]
+        assert net.hop_delivery.counts == {10: 2}
+        assert received == {10: 2}
+
+    def test_copy_sequence_is_singles_multicasts_hops(self):
+        seen = []
+
+        class Recorder(StubHook):
+            def fates(self, t, srcs, dsts):
+                seen.append(list(zip(srcs.tolist(), dsts.tolist())))
+                return super().fates(t, srcs, dsts)
+
+        net = Network()
+        net.fault_hook = Recorder()
+        net.send_hops(1, Msg(), 0, [5])
+        net.send_many(2, [6, 7], "m")
+        net.send(3, 8, "s")
+        net.send_singles_batch(4, [(9, "a"), (10, "b")])
+        net.close_send_phase()
+        assert seen == [[(3, 8), (4, 9), (4, 10), (2, 6), (2, 7), (1, 5)]]
 
 
 class TestRoundIsolation:
