@@ -4,10 +4,10 @@ The epoch cache (shared per-epoch position tables + interned copy-on-write
 ``PositionIndex`` slabs) and the columnar hop plane are pure optimisations:
 every observable of a run — per-round metrics, the exact edge multiset, the
 churn decisions, every node's final state, audits and probe deliveries —
-must be identical with them on (the default) and off.  The golden digests
-below were captured from the pre-optimisation code, so these tests pin the
-optimised paths against the original implementation, not just against each
-other.
+must be identical with the epoch cache on (the default) and off.  The
+fault-free golden digests below were captured from the pre-optimisation
+code, so these tests pin the optimised paths against the original
+implementation, not just against each other.
 """
 
 from __future__ import annotations
@@ -16,14 +16,16 @@ import pytest
 
 from .simfp import run_scenario
 
-#: Captured from the seed implementation (before the epoch cache and hop
-#: plane existed).  Any behavioural drift — one extra RNG draw, one
-#: reordered send — flips the digest.
+#: ``steady`` and ``churn`` were captured from the seed implementation
+#: (before the epoch cache and hop plane existed).  ``faults`` and
+#: ``churn_faults`` pin the counter-based fate PRF: they were re-pinned
+#: once when it replaced the per-copy BLAKE2b coins.  Any behavioural
+#: drift — one extra RNG draw, one reordered send — flips the digest.
 GOLDEN = {
     "steady": "ad475a0578dc63811b3c04d39543dffd",
     "churn": "69c056247a56a212e963e9654c2d178c",
-    "faults": "3554adec0140df71d3cb549914686b51",
-    "churn_faults": "0026d6b6492f3df1e0bcef1af8eb9da4",
+    "faults": "6589f2a1770353d6b9a1ff7ecf90550b",
+    "churn_faults": "8fa2663894495c8ff1b6ce373593d87e",
 }
 
 
