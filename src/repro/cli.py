@@ -26,8 +26,10 @@ Commands
     count — and ``--out PATH`` writes the schema-validated JSON report.
 ``profile [--n N] [--rounds R] [--seed S] [--churn P]``
     Run the maintenance protocol with a per-phase wall-time profiler
-    attached and print the hot-path table (adversary / receive / compute /
-    close seconds per round).
+    attached; print the warm-up mean (rounds ``0 .. dilation + 2``) and
+    the steady-state mean (whole even/odd cycles after them) on separate
+    lines, then the hot-path table (adversary / receive / compute / close
+    seconds per round).
 ``sweep [E-ID ...] [--seeds S,S,...] [--workers W] [--full]``
     Fan an (experiment x seed) grid over worker processes and print the
     merged table; the output is bit-for-bit identical for any worker count.
@@ -290,11 +292,32 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         params, adversary, profiler=profiler, workers=args.workers
     ) as sim:
         sim.run(args.rounds)
-    mean_ms = profiler.total_time() / max(1, profiler.rounds) * 1e3
     print(
         f"n={args.n} rounds={args.rounds} seed={args.seed} "
-        f"churn={args.churn} workers={args.workers} mean={mean_ms:.2f} ms/round"
+        f"churn={args.churn} workers={args.workers}"
     )
+    # The per-round cost climbs until the routing pipeline is full (rounds
+    # 0 .. dilation + 2), then alternates even/odd: report the two regimes
+    # apart, the steady one over whole cycles only.
+    totals = [t.total for t in profiler.history]
+    warm = params.dilation + 3
+    warm_up = totals[:warm]
+    steady = totals[warm:]
+    steady = steady[: len(steady) - len(steady) % 2]
+    if warm_up:
+        mean_ms = sum(warm_up) / len(warm_up) * 1e3
+        print(f"warm-up  rounds 0..{len(warm_up) - 1}: mean={mean_ms:.2f} ms/round")
+    if steady:
+        mean_ms = sum(steady) / len(steady) * 1e3
+        print(
+            f"steady   rounds {warm}..{warm + len(steady) - 1} "
+            f"({len(steady) // 2} cycles): mean={mean_ms:.2f} ms/round"
+        )
+    else:
+        print(
+            "steady   no whole cycle after the warm-up "
+            f"(needs --rounds >= {warm + 2})"
+        )
     print()
     print(profiler.table())
     shard_rounds = [t for t in profiler.history if t.shards]

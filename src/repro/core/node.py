@@ -675,8 +675,8 @@ class MaintenanceNode(NodeProtocol):
         pass).  Mid-route hops go to ``r`` random members of the next
         trajectory point's swarm; finals become the full target-swarm
         delivery multicast; arrived JOINs are returned for rebroadcast (in
-        arrival order).  The per-action loop below draws rng and files
-        sends in row order.
+        arrival order).  Pass 1 draws rng and touches node state in row
+        order; pass 2 files every send, also in row order, as array work.
         """
         cache = delivery.cache
         cols = cache.get("even")
@@ -699,15 +699,13 @@ class MaintenanceNode(NodeProtocol):
             ids32 = sc.get("ids32")
             if ids32 is None:
                 ids32 = sc["ids32"] = index.ids.astype(np.int32)
-            ids_list = index.ids_list
-            n = len(ids_list)
+            n = ids32.size
             rho = self._swarm_radius
             finals_mask = kind[act_rows] == 2
             full_ring = rho >= 0.5
             if full_ring:
                 ai_arr = np.zeros(act_rows.size, dtype=np.int64)
                 size_arr = np.full(act_rows.size, n, dtype=np.int64)
-                b_arr = wr_arr = None
             else:
                 ai_arr, b_arr, wr_arr = index.bounds_many(point[act_rows], rho)
                 size_arr = np.where(wr_arr, n - ai_arr + b_arr, b_arr - ai_arr)
@@ -728,15 +726,14 @@ class MaintenanceNode(NodeProtocol):
             # finals draw in one batched ``random(r*k)`` call (the Generator
             # stream is identical to k*r scalar draws).
             events: list[int] = []
-            ranks_l: list[int] = []
+            ranks_fin = np.empty(0, dtype=np.int64)
             if fin_idx.size:
                 fin_act = act_rows[fin_idx]
                 tgtf = point[fin_act]
-                # Window rank of this node per final (also pass 2's slice
-                # position: dropping rank ``rk`` from the member window is
-                # the ``w != my_id`` filter, ids being unique).
+                # Window rank of this node per final (also pass 2's skipped
+                # slot: dropping rank ``rk`` from the member window is the
+                # ``w != my_id`` filter, ids being unique).
                 ranks_fin = index.ranks_within_many(tgtf, rho, my_id)
-                ranks_l = ranks_fin.tolist()
                 if pos is not None:
                     gap = np.abs(pos - tgtf)
                     inswarm = np.minimum(gap, 1.0 - gap) <= rho
@@ -772,61 +769,40 @@ class MaintenanceNode(NodeProtocol):
                 j[j >= n] -= n
                 pick_chunks.append(ids32[j])
 
-            # Pass 2 — filing, in row order (no rng, no node state): mid runs
-            # between finals splice into the plane columns as list slices;
-            # finals multicast their member window (cached per row on
-            # the delivery — the window is index-determined, only the slice
-            # position of self differs per holder) minus self.
-            _, _, _, psrcs, prows, plens, pflat = ctx.hop_columns()
-            picks_l = (
-                np.concatenate(pick_chunks).tolist() if pick_chunks else []
-            )
-            orow_act = out_row[act_rows]
-            orow_mid_l = orow_act[mid_list].tolist()
-            fm = cache.get(("fin_members", index))
-            if fm is None:
-                fm = cache[("fin_members", index)] = {}
-            total = 0
-            mc = 0  # mids filed so far
-            ri = 0  # finals seen so far (ranks_l cursor)
-            fin_l = fin_idx.tolist()
-            act_l = act_rows.tolist()
-            bounds = np.searchsorted(mid_list, fin_idx, side="left").tolist()
-            bounds.append(int(mid_list.size))
-            for fpos, hi in zip(fin_l + [-1], bounds):
-                if hi > mc:
-                    k = hi - mc
-                    psrcs.extend([my_id] * k)
-                    prows.extend(orow_mid_l[mc:hi])
-                    plens.extend([r] * k)
-                    pflat.extend(picks_l[r * mc:r * hi])
-                    total += r * k
-                    mc = hi
-                if fpos >= 0:
-                    row = act_l[fpos]
-                    mem = fm.get(row)
-                    if mem is None:
-                        if full_ring:
-                            mem = ids_list
-                        elif wr_arr[fpos]:
-                            mem = (
-                                ids_list[int(ai_arr[fpos]):]
-                                + ids_list[: int(b_arr[fpos])]
-                            )
-                        else:
-                            mem = ids_list[int(ai_arr[fpos]):int(b_arr[fpos])]
-                        fm[row] = mem
-                    rk = ranks_l[ri]
-                    ri += 1
-                    dsts = mem if rk < 0 else mem[:rk] + mem[rk + 1:]
-                    nd = len(dsts)
-                    if nd:
-                        psrcs.append(my_id)
-                        prows.append(int(orow_act[fpos]))
-                        plens.append(nd)
-                        pflat.extend(dsts)
-                        total += nd
-            ctx.count_hop_sends(total)
+            # Pass 2 — filing, in row order (no rng, no node state), as array
+            # work.  A mid with a non-empty window sends its ``r`` picks; a
+            # final sends its member window minus self — copy ``j`` of a
+            # window starting at slot ``a`` is slot ``a + j``, one further on
+            # from this node's rank — and zero-length sends file nothing.
+            lens = np.zeros(act_rows.size, dtype=np.int64)
+            lens[mid_list] = r
+            lens[fin_idx] = size_arr[fin_idx] - (ranks_fin >= 0)
+            sent = np.flatnonzero(lens)
+            if sent.size:
+                lens_s = lens[sent]
+                total = int(lens_s.sum())
+                flat = np.empty(total, dtype=np.int32)
+                fin_copy = np.repeat(finals_mask[sent], lens_s)
+                if pick_chunks:
+                    flat[~fin_copy] = np.concatenate(pick_chunks)
+                fin_nz = lens[fin_idx] > 0
+                fin_sent = fin_idx[fin_nz]
+                if fin_sent.size:
+                    fl = lens[fin_sent]
+                    skip = ranks_fin[fin_nz]
+                    skip[skip < 0] = n  # holder outside the window
+                    j = np.arange(int(fl.sum()), dtype=np.int64)
+                    j -= np.repeat(np.cumsum(fl) - fl, fl)
+                    slot = np.repeat(ai_arr[fin_sent], fl) + j
+                    slot += j >= np.repeat(skip, fl)
+                    slot[slot >= n] -= n
+                    flat[fin_copy] = ids32[slot]
+                _, _, _, psrcs, prows, plens, pflat = ctx.hop_columns()
+                psrcs.extend([my_id] * sent.size)
+                prows.extend(out_row[act_rows[sent]].tolist())
+                plens.extend(lens_s.tolist())
+                pflat.extend(flat.tolist())
+                ctx.count_hop_sends(total)
         return join_recs
 
     def _launch_joins(self, ctx: NodeContext, e: int) -> None:

@@ -15,11 +15,14 @@ copies per logical hop per receiver that is the dominant round cost.
   object and step live in per-row columns (one entry per *logical* hop);
 * sends append ``(src, row, receiver-count)`` plus a flat receiver list —
   no per-copy objects at all;
-* at delivery the copies are grouped by receiver with one stable argsort, so
-  each receiver gets a NumPy array of row ids *in exactly the order the
-  copies would have appeared in its legacy inbox* (global send order —
-  multicast delivery order never interleaved with singles, so dropping hops
-  from the object inboxes preserves every observable ordering);
+* at delivery the copies are grouped by receiver with two value sorts of
+  packed uint64 keys (``dst | row | copy index``, then ``dst | copy index``
+  for the deduplicated copies; a round whose fields need more than 64 bits
+  is refused, see :func:`delivery_key_widths`), so each receiver gets a
+  NumPy array of row ids *in exactly the order the copies would have
+  appeared in its legacy inbox* (global send order — multicast delivery
+  order never interleaved with singles, so dropping hops from the object
+  inboxes preserves every observable ordering);
 * per-round classification work (next step, final-step test, lookup point)
   happens **once per logical hop** for the whole network — receivers share
   the columns through :attr:`HopDelivery.cache` and merely gather their row
@@ -41,7 +44,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["HopPlane", "FrozenHopRound", "HopDelivery"]
+__all__ = ["HopPlane", "FrozenHopRound", "HopDelivery", "delivery_key_widths"]
 
 
 def _freeze_i32(col: ArrayLike) -> np.ndarray:
@@ -54,6 +57,27 @@ def _freeze_i32(col: ArrayLike) -> np.ndarray:
     as a single C-level conversion at freeze time.
     """
     return np.asarray(col, dtype=np.int32)
+
+
+def delivery_key_widths(copies: int, rows: int, max_id: int) -> tuple[int, int]:
+    """Bit widths ``(row_bits, idx_bits)`` of :meth:`FrozenHopRound.deliver`'s key.
+
+    The delivery key packs ``dst << (row_bits + idx_bits) | row << idx_bits
+    | copy_index`` into one uint64; this sizes each field from the largest
+    value it must hold (``max_id``, ``rows - 1``, ``copies - 1``) and raises
+    :class:`ValueError` when the three do not fit in 64 bits.  That takes
+    far more copies than fit in memory at any node-id range the simulator
+    uses, so there is no slower fallback path.
+    """
+    row_bits = max(rows - 1, 0).bit_length()
+    idx_bits = max(copies - 1, 0).bit_length()
+    width = max_id.bit_length() + row_bits + idx_bits
+    if width > 64:
+        raise ValueError(
+            f"hop delivery key needs {width} bits (max id {max_id}, "
+            f"{rows} rows, {copies} copies); the packed sort holds 64"
+        )
+    return row_bits, idx_bits
 
 
 class HopDelivery:
@@ -182,56 +206,58 @@ class FrozenHopRound:
         return zip(srcs.tolist(), dsts.tolist())
 
     def deliver(self, alive) -> HopDelivery:
-        """Group the copies by surviving receiver (one stable argsort).
+        """Group the copies by surviving receiver (two packed-key sorts).
 
-        Each receiver's rows are deduplicated to first occurrences here, in
-        one vectorised pass for the whole network, instead of per receiving
-        node: the stable sort keeps arrival order inside a segment, and the
-        ``(receiver, row)`` unique-index mask keeps exactly the copies a
-        per-node ``dict.fromkeys`` would have kept.  ``counts`` stays
-        pre-dedup — it mirrors the legacy inbox length.
+        Every copy gets one unique uint64 key ``dst | row | copy index``
+        (widths from :func:`delivery_key_widths`), so a plain value sort —
+        no stable argsort needed, all keys differ — lines the copies up by
+        receiver, then row, then send order.  The first key of each
+        ``(dst, row)`` run is the copy a per-node ``dict.fromkeys`` would
+        keep; re-packing the kept copies as ``dst | copy index`` and sorting
+        again puts each receiver's deduplicated rows back in send order.
+        ``counts`` stays pre-dedup — it mirrors the legacy inbox length.
         """
         flat = self.flat
-        rows = np.repeat(self.send_rows, self.lens)
-        order = np.argsort(flat, kind="stable")  # stable: keep send order per dst
-        dst_sorted = flat[order]
-        row_sorted = rows[order]
-        if dst_sorted.size:
-            starts = np.flatnonzero(np.r_[True, dst_sorted[1:] != dst_sorted[:-1]])
-            ends = np.r_[starts[1:], dst_sorted.size]
-            receivers = dst_sorted[starts].tolist()
-            key = (dst_sorted.astype(np.int64) << 32) | row_sorted
-            uniq, first = np.unique(key, return_index=True)
-            if uniq.size != key.size:
-                mask = np.zeros(key.size, dtype=bool)
-                mask[first] = True
-                row_kept = row_sorted[mask]
-                csum0 = np.r_[0, np.cumsum(mask)]
-                kept_starts = csum0[starts].tolist()
-                kept_ends = csum0[ends].tolist()
-            else:
-                row_kept = row_sorted
-                kept_starts = starts.tolist()
-                kept_ends = ends.tolist()
-            starts_l = starts.tolist()
-            ends_l = ends.tolist()
-        else:
-            receivers = []
-            starts_l = ends_l = kept_starts = kept_ends = []
-            row_kept = row_sorted
+        total = int(flat.size)
         by_dst: dict[int, np.ndarray] = {}
         counts: dict[int, int] = {}
-        for i, dst in enumerate(receivers):
-            if dst in alive:
-                by_dst[dst] = row_kept[kept_starts[i]:kept_ends[i]]
-                counts[dst] = ends_l[i] - starts_l[i]
-        return HopDelivery(
-            self.msgs,
-            self.steps,
-            by_dst,
-            counts,
-            total=int(flat.size),
-        )
+        if total:
+            row_bits, idx_bits = delivery_key_widths(
+                total, len(self.msgs), int(flat.max())
+            )
+            rows = np.repeat(self.send_rows, self.lens)
+            u64 = np.uint64
+            key = flat.astype(u64)
+            key <<= u64(row_bits)
+            key |= rows.astype(u64)
+            key <<= u64(idx_bits)
+            key |= np.arange(total, dtype=u64)
+            key.sort()  # unique keys: the unstable sort is deterministic
+            grp = key >> u64(idx_bits)
+            first = np.empty(total, dtype=bool)
+            first[0] = True
+            np.not_equal(grp[1:], grp[:-1], out=first[1:])
+            kept = key[first]
+            # (dst | row | idx) -> (dst | idx): drop the row field, re-sort.
+            idx_mask = u64((1 << idx_bits) - 1)
+            dst_idx = kept >> u64(row_bits + idx_bits)
+            dst_idx <<= u64(idx_bits)
+            dst_idx |= kept & idx_mask
+            dst_idx.sort()
+            row_kept = rows[(dst_idx & idx_mask).astype(np.intp)]
+            kept_dst = dst_idx >> u64(idx_bits)
+            starts = np.flatnonzero(np.r_[True, kept_dst[1:] != kept_dst[:-1]])
+            receivers = kept_dst[starts]
+            # Pre-dedup counts: each receiver's run length in the first sort.
+            runs = key.searchsorted(receivers << u64(row_bits + idx_bits)).tolist()
+            runs.append(total)
+            starts_l = starts.tolist()
+            starts_l.append(int(kept_dst.size))
+            for i, dst in enumerate(receivers.tolist()):
+                if dst in alive:
+                    by_dst[dst] = row_kept[starts_l[i]:starts_l[i + 1]]
+                    counts[dst] = runs[i + 1] - runs[i]
+        return HopDelivery(self.msgs, self.steps, by_dst, counts, total=total)
 
 
 class HopPlane:

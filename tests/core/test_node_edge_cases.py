@@ -220,3 +220,109 @@ class TestPipelineBookkeeping:
             m for msgs in inboxes.values() for _, m in msgs if isinstance(m, ConnectMsg)
         ]
         assert connects  # still bridging the pipeline
+
+
+def even_filing(node, services, t, arrivals):
+    """Run one even round on ``arrivals`` and return the hops it filed.
+
+    Returns the outgoing plane's send columns with each row resolved to its
+    ``(message, step)`` hop: ``(srcs, hops, lens, flat)``.
+    """
+    ctx, net = hop_ctx_for(node, services, t, arrivals)
+    node.on_round(ctx)
+    _, msgs, steps, srcs, rows, lens, flat = net.plane.columns()
+    hops = [(msgs[row], steps[row]) for row in rows]
+    filed = (list(srcs), hops, list(lens), list(flat))
+    _, sent = net.close_send_phase()
+    assert sent.get(node.id, 0) == len(filed[3])  # count_hop_sends matches
+    return filed
+
+
+class TestEvenHopFiling:
+    """Exact plane columns filed by even-round forwarding (``_even_hops``)."""
+
+    # Swarm radius at n=48, c=1.2: lam=6, rho = c*lam/n = 0.15.
+    NBRS = {2: 0.02, 3: 0.05, 4: 0.95, 5: 0.98, 6: 0.40, 7: 0.32, 8: 0.62}
+
+    def final(self, services, params, target):
+        """A probe one step short of its final swarm."""
+        msg = make_msg(services, params, target=target)
+        return msg, msg.final_step - 1
+
+    def test_final_window_wrapping_the_ring(self, services, params):
+        node = MaintenanceNode(1, services)
+        node.prime(epoch=5, pos=0.5, neighbors=self.NBRS)
+        msg, k = self.final(services, params, 0.0)
+        # Window [0.85, 0.15] starts at its counter-clockwise end; the
+        # holder (at 0.5) lies outside it, so nothing is skipped (rank -1).
+        assert even_filing(node, services, 10, [(9, msg, k)]) == (
+            [1], [(msg, k + 1)], [4], [4, 5, 2, 3]
+        )
+
+    def test_final_skips_the_holders_own_slot(self, services, params):
+        node = MaintenanceNode(1, services)
+        node.prime(epoch=5, pos=0.5, neighbors=self.NBRS)
+        mid_rank, last_rank = (self.final(services, params, p) for p in (0.5, 0.45))
+        # [0.35, 0.65] holds 6, 1, 8 (holder in the middle); [0.30, 0.60]
+        # holds 7, 6, 1 (holder last).
+        assert even_filing(node, services, 10, [(9, *mid_rank), (9, *last_rank)]) == (
+            [1, 1],
+            [(mid_rank[0], mid_rank[1] + 1), (last_rank[0], last_rank[1] + 1)],
+            [2, 2],
+            [6, 8, 7, 6],
+        )
+
+    def test_full_ring_window(self):
+        params = ProtocolParams(n=8, c=1.5, r=2, delta=3, tau=6, seed=31)
+        assert params.swarm_radius >= 0.5
+        svc = RngService(params.seed)
+        services = EngineServices(
+            params=params, rng=svc, position_hash=svc.position_hash()
+        )
+        node = MaintenanceNode(1, services)
+        node.prime(epoch=5, pos=0.5, neighbors={2: 0.1, 3: 0.7, 4: 0.3})
+        msg, k = self.final(services, params, 0.9)
+        # Every member, in ring-position order from slot 0, minus self.
+        assert even_filing(node, services, 10, [(9, msg, k)]) == (
+            [1], [(msg, k + 1)], [3], [2, 4, 3]
+        )
+
+    def test_window_of_only_the_holder_files_nothing(self, services, params):
+        node = MaintenanceNode(1, services)
+        node.prime(epoch=5, pos=0.5, neighbors={2: 0.1, 3: 0.9})
+        msg, k = self.final(services, params, 0.5)
+        assert even_filing(node, services, 10, [(9, msg, k)]) == ([], [], [], [])
+
+    def mid(self, params, point):
+        """A probe whose next trajectory point (from step 1) is ``point``."""
+        msg = make_routed_message(
+            msg_id=("probe", "mid", point),
+            origin=99,
+            origin_position=0.4,
+            target=0.5,
+            lam=params.lam,
+            start_round=0,
+            payload=("probe", "mid"),
+            trajectory_fn=lambda src, dst, lam: (src, src, point)
+            + (dst,) * (lam - 1),
+        )
+        return msg, 1
+
+    def test_empty_mid_window_between_finals(self, services, params):
+        # Members sit around the first mid's next point and around the two
+        # final targets; the second mid's next point, half a ring away,
+        # has an empty window and files nothing.
+        node = MaintenanceNode(1, services)
+        node.prime(epoch=5, pos=0.5, neighbors={2: 0.52, 3: 0.7, 4: 0.3})
+        full, empty = self.mid(params, 0.5), self.mid(params, 0.0)
+        fin1, fin2 = self.final(services, params, 0.7), self.final(services, params, 0.3)
+        srcs, hops, lens, flat = even_filing(
+            node, services, 10, [(9, *fin1), (9, *full), (9, *empty), (9, *fin2)]
+        )
+        assert srcs == [1, 1, 1]
+        assert hops == [
+            (fin1[0], fin1[1] + 1), (full[0], full[1] + 1), (fin2[0], fin2[1] + 1)
+        ]
+        assert lens == [1, params.r, 1]
+        assert flat[0] == 3 and flat[-1] == 4
+        assert set(flat[1:-1]) <= {1, 2}  # r random picks from S(0.5)

@@ -31,6 +31,23 @@ class TestCliParams:
         assert "alpha: 0.25" in out
 
 
+class TestCliProfile:
+    # n=24: lam=5, dilation=12, so rounds 0..14 fill the routing pipeline.
+    def test_splits_warm_up_from_steady_state(self, capsys):
+        # 20 rounds leave five after the warm-up: two whole cycles, 15..18.
+        assert main(["profile", "--n", "24", "--rounds", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "mean" not in lines[0]
+        assert lines[1].startswith("warm-up  rounds 0..14: mean=")
+        assert lines[2].startswith("steady   rounds 15..18 (2 cycles): mean=")
+
+    def test_short_run_reports_no_steady_state(self, capsys):
+        assert main(["profile", "--n", "24", "--rounds", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "warm-up  rounds 0..14: mean=" in out
+        assert "steady   no whole cycle after the warm-up (needs --rounds >= 17)" in out
+
+
 class TestCliScenario:
     def test_list_shows_registry(self, capsys):
         assert main(["scenario", "--list"]) == 0
